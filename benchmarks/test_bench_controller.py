@@ -1,13 +1,14 @@
-"""Rebalance-controller benchmark: engine-backed delta pipeline vs legacy loop.
+"""Rebalance-controller benchmark: delta vs rebuild world advance.
 
-The original ``RebalanceController`` ran its own standalone loop that rebuilt
-the scenario and re-validated the full instance every epoch; the ported
-controller runs on the :class:`~repro.dynamics.engine.SimulationState` engine,
-whose ``backend="rebuild"`` reproduces exactly that legacy work profile (full
-``with_population`` rebuild + ``from_scenario`` validation) while
-``backend="delta"`` advances the world with delta state updates.  Because the
-two backends produce bit-identical traces, the epochs/sec gap is a pure
-measurement of what the delta pipeline saves the control plane.
+The controller runs on the one epoch pipeline
+(:class:`~repro.dynamics.engine.EpochSession`, under a
+:class:`~repro.dynamics.policies.RebalancePolicy`).  Its world advance has two
+bit-identical backends: ``backend="rebuild"`` reproduces the work profile of
+the controller's original standalone loop (full ``with_population`` rebuild +
+``from_scenario`` validation every epoch), while ``backend="delta"`` advances
+the world with delta state updates.  Because the two backends produce
+bit-identical traces, the epochs/sec gap is a pure measurement of what the
+delta pipeline saves the control plane.
 
 Two operating points are measured:
 
@@ -23,6 +24,8 @@ re-validation, and — via the engine's zero-copy ``from_scenario_unchecked``
 fast path — the duplicate instance materialisation); the solver work is
 identical on both sides, so expect a steady ~1.1x rather than the larger
 factors the policy-schedule benchmark reports for repair-vs-reexecute mixes.
+The JSON key ``speedup_delta_vs_legacy`` keeps its historical name: "legacy"
+is the rebuild backend.
 
 Machine-readable results (epochs/sec per pipeline, speedups, decision mix,
 migration bill) are written to ``BENCH_controller.json`` at the repository
@@ -124,7 +127,7 @@ def test_bench_controller(benchmark, record):
             rows.append(
                 [
                     name,
-                    "legacy loop (rebuild)" if backend == "rebuild" else "engine (delta)",
+                    "rebuild (legacy work)" if backend == "rebuild" else "delta",
                     stats["epochs_per_sec"],
                     stats["mean_pqos"],
                     stats["rebalances"],
@@ -159,7 +162,7 @@ def test_bench_controller(benchmark, record):
         RESULTS_PATH,
     )
 
-    # The delta pipeline must never regress below the legacy loop (0.9 allows
+    # The delta pipeline must never regress below the rebuild backend (0.9 allows
     # for timing noise at smoke scale) and must show a measurable advantage
     # at the watchful operating point, where decisions are cheaper.
     assert watchful >= 1.02

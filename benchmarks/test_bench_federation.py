@@ -20,8 +20,10 @@ topology, one all-pairs delay matrix and one server fleet
 * **Thread-parallel shard stepping pays for itself.**  With
   ``shard_workers > 1`` the shards of one epoch step concurrently on a
   thread pool (the numpy kernels release the GIL); the records must stay
-  bit-identical to the serial schedule on any machine, and on multi-core
-  machines the wall-clock per epoch must drop.
+  bit-identical to the serial schedule on any machine, on the figure-4
+  world and on a 4 x 10k-client sparse world.  On multi-core machines the
+  wall-clock per epoch of the 4 x 10k world must drop: its shards carry
+  enough numpy work to overlap, where figure-4's 500-client shards do not.
 
 Machine-readable results (epochs/sec per shard count, scaling ratios, arbiter
 seconds per decision, overhead fractions) are written to
@@ -62,6 +64,12 @@ SHARD_COUNTS = (1, 2, 4)
 THREAD_WORKERS = (1, 2, 4)
 #: 10 % churn of the whole population per epoch, split over the shards.
 TOTAL_CHURN = 200
+#: The thread-speedup rung: 4 shards x 10k clients on the sparse backend,
+#: 100 joins / leaves / moves per shard and epoch.
+LARGE_LABEL = "100s-400z-40000c-52000cp"
+LARGE_SHARD_CHURN = 100
+#: Results key of each thread-rung world, and its label in the report.
+THREAD_RUNG_WORLDS = {"thread_rungs": LABEL, "thread_rungs_4x10k": f"{LARGE_LABEL} sparse"}
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_federation.json"
 
@@ -97,9 +105,10 @@ def _time_epochs(world, churn, arbiter: str, num_epochs: int) -> dict:
     }
 
 
-def _time_parallel_epochs(config, shard_workers, num_epochs: int):
+def _time_parallel_epochs(config, shard_workers, num_epochs: int, churn=None):
     """Fresh 4-shard world stepped end-to-end; returns (records, seconds)."""
-    world, churn = _build(config, SHARD_COUNTS[-1])
+    world, default_churn = _build(config, SHARD_COUNTS[-1])
+    churn = default_churn if churn is None else churn
     simulator = FederatedSimulator(
         world=world,
         algorithms=["grez-grec"],
@@ -169,21 +178,27 @@ def _measure(num_epochs: int) -> dict:
         timing["fraction_of_epoch"] = timing["seconds_per_decision"] / epoch4
         results["arbiters"][name] = timing
 
-    # Thread-parallel rungs on the 4-shard world: bit-identity always,
+    # Thread-parallel rungs on the 4-shard worlds: bit-identity always,
     # wall-clock speedup only where there are cores to speed up on.
-    serial_records, serial_seconds = _time_parallel_epochs(config, None, num_epochs)
-    results["thread_rungs"] = {}
-    for workers in THREAD_WORKERS:
-        if workers == 1:
-            records, elapsed = serial_records, serial_seconds
-        else:
-            records, elapsed = _time_parallel_epochs(config, workers, num_epochs)
-        results["thread_rungs"][str(workers)] = {
-            "shard_workers": workers,
-            "seconds_per_epoch": elapsed / num_epochs,
-            "speedup_vs_serial": serial_seconds / elapsed if elapsed else float("inf"),
-            "records_bit_identical": _records_identical(serial_records, records),
-        }
+    large = config_from_label(LARGE_LABEL).with_updates(delay_backend="sparse")
+    large_churn = [ChurnSpec(*(LARGE_SHARD_CHURN,) * 3)] * SHARD_COUNTS[-1]
+    for key, rung_config, churn in (
+        ("thread_rungs", config, None),
+        ("thread_rungs_4x10k", large, large_churn),
+    ):
+        serial_records, serial_seconds = _time_parallel_epochs(rung_config, None, num_epochs, churn)
+        results[key] = {}
+        for workers in THREAD_WORKERS:
+            if workers == 1:
+                records, elapsed = serial_records, serial_seconds
+            else:
+                records, elapsed = _time_parallel_epochs(rung_config, workers, num_epochs, churn)
+            results[key][str(workers)] = {
+                "shard_workers": workers,
+                "seconds_per_epoch": elapsed / num_epochs,
+                "speedup_vs_serial": serial_seconds / elapsed if elapsed else float("inf"),
+                "records_bit_identical": _records_identical(serial_records, records),
+            }
     return results
 
 
@@ -211,12 +226,14 @@ def test_bench_federation(benchmark, record):
     ]
     thread_rows = [
         [
+            world,
             f"{entry['shard_workers']} thread(s)",
             entry["seconds_per_epoch"] * 1000.0,
             entry["speedup_vs_serial"],
             "yes" if entry["records_bit_identical"] else "NO",
         ]
-        for entry in results["thread_rungs"].values()
+        for key, world in THREAD_RUNG_WORLDS.items()
+        for entry in results[key].values()
     ]
     cost4 = results["shard_counts"][str(SHARD_COUNTS[-1])]["epoch_cost_vs_monolithic"]
     text = (
@@ -240,10 +257,10 @@ def test_bench_federation(benchmark, record):
         )
         + "\n\n"
         + format_table(
-            ["shard workers", "ms/epoch", "speedup vs serial", "bit-identical"],
+            ["world", "shard workers", "ms/epoch", "speedup vs serial", "bit-identical"],
             thread_rows,
             title=(
-                f"Thread-parallel shard stepping on the {SHARD_COUNTS[-1]}-shard world "
+                f"Thread-parallel shard stepping on {SHARD_COUNTS[-1]}-shard worlds "
                 f"({available_cpus()} CPUs available)"
             ),
             float_format=".2f",
@@ -270,13 +287,15 @@ def test_bench_federation(benchmark, record):
         assert timing["fraction_of_epoch"] <= 0.5, name
     # Determinism is unconditional: the thread schedule must never leak into
     # the records, whatever the core count.
-    for workers, entry in results["thread_rungs"].items():
-        assert entry["records_bit_identical"], f"shard_workers={workers}"
-    # The speedup claim needs real cores; single-CPU machines only check
-    # determinism (there is nothing to parallelise onto).
+    for key in THREAD_RUNG_WORLDS:
+        for workers, entry in results[key].items():
+            assert entry["records_bit_identical"], f"{key} shard_workers={workers}"
+    # The speedup claim needs real cores, and is made on the world whose
+    # shards carry the work; single-CPU machines only check determinism
+    # (there is nothing to parallelise onto).
     if available_cpus() >= 2:
-        speedup2 = results["thread_rungs"]["2"]["speedup_vs_serial"]
+        speedup2 = results["thread_rungs_4x10k"]["2"]["speedup_vs_serial"]
         assert speedup2 >= 1.2, (
-            f"expected >= 1.2x from 2 shard workers on {available_cpus()} CPUs, "
-            f"got {speedup2:.2f}x"
+            "expected >= 1.2x from 2 shard workers on the 4 x 10k sparse world "
+            f"on {available_cpus()} CPUs, got {speedup2:.2f}x"
         )

@@ -16,10 +16,12 @@ The engine is built for long runs:
   matrix and re-validating every array.  ``backend="rebuild"`` keeps the
   original full-rebuild path as the executable specification; the two are
   bit-identical for any seed and epoch count.
-* **Policy schedules** — :class:`~repro.dynamics.policies.PolicySchedule`
-  decides per epoch whether to re-execute the algorithm from scratch, repair
+* **Policies** — :class:`~repro.dynamics.policies.PolicySchedule` decides per
+  epoch whether to re-execute the algorithm from scratch, repair
   incrementally (contact phase only), warm-start the local search from the
-  carried-over assignment, or re-execute only every k-th epoch.
+  carried-over assignment, or re-execute only every k-th epoch;
+  :class:`~repro.dynamics.policies.RebalancePolicy` (the rebalance
+  controller's) reacts to the carried-over pQoS instead.
 * **Streaming records** — :meth:`ChurnSimulator.stream` is a generator, so a
   thousand-epoch run can be consumed (CSV row by CSV row, streaming summary
   statistics) without ever holding all records in memory.
@@ -56,9 +58,10 @@ from repro.dynamics.measurement import (
     measured_utilization,
     stash_for,
 )
-from repro.dynamics.migration import MigrationCostModel, charge_zone_moves
+from repro.dynamics.migration import MigrationCharge, MigrationCostModel, charge_zone_moves
 from repro.dynamics.policies import (
     PolicySchedule,
+    RebalancePolicy,
     carry_over_assignment,
     incremental_reassign,
     make_policy,
@@ -251,10 +254,13 @@ class ChurnSimulator:
         Master seed; every epoch and every algorithm's randomised choices get
         independent sub-streams.
     policy:
-        Per-epoch repair action schedule — a name accepted by
+        Per-epoch decision — a name accepted by
         :func:`~repro.dynamics.policies.make_policy` (``"reexecute"``,
         ``"incremental"``, ``"warm_start"``, ``"every_k_epochs"`` with
-        ``policy_period``) or a :class:`~repro.dynamics.policies.PolicySchedule`.
+        ``policy_period``), a :class:`~repro.dynamics.policies.PolicySchedule`,
+        or a :class:`~repro.dynamics.policies.RebalancePolicy` (a controlled
+        run, as :class:`~repro.dynamics.controller.RebalanceController`
+        drives it).
     policy_period:
         Period for the ``every_k_epochs`` policy (ignored otherwise).
     backend:
@@ -309,7 +315,7 @@ class ChurnSimulator:
     server_churn_spec: Optional[ServerChurnSpec] = None
     migration_cost: MigrationCostModel = field(default_factory=MigrationCostModel)
     seed: SeedLike = None
-    policy: Union[str, PolicySchedule] = "reexecute"
+    policy: Union[str, PolicySchedule, RebalancePolicy] = "reexecute"
     policy_period: int = 0
     policy_migration_budget: Optional[float] = None
     backend: str = "delta"
@@ -483,15 +489,16 @@ class ChurnSimulator:
         churn: ChurnResult,
         server_churn: Optional[ServerChurnResult],
         new_instance: CAPInstance,
-        schedule: PolicySchedule,
-        action: str,
+        policy: Union[PolicySchedule, RebalancePolicy],
         reassign_rng: SeedLike,
         timings: Optional[Dict[str, float]] = None,
         overlay_active: bool = False,
         allocs: Optional[Dict[str, int]] = None,
-    ) -> tuple[EpochRecord, Assignment]:
-        """Measure one algorithm around one epoch and apply the policy action.
+    ) -> tuple[EpochRecord, Assignment, str, MigrationCharge]:
+        """Measure one algorithm around one epoch and adopt the policy's choice.
 
+        Returns the record, the adopted assignment, the adopted action and
+        its migration charge.
         ``timings`` optionally accumulates wall-time into its ``"solve"`` and
         ``"measure"`` keys (the repair/solve calls vs the measurement-point
         computations), feeding the session's per-phase profile.  ``allocs``
@@ -500,7 +507,6 @@ class ChurnSimulator:
         time, so it is separate from ``timings``-only runs).
         """
         instance = state.instance
-        incremental_meas = self.measurement_backend == "incremental"
 
         def _timed(key, fn):
             if allocs is not None:
@@ -515,14 +521,6 @@ class ChurnSimulator:
                 allocs[key] = allocs.get(key, 0) + max(0, peak - alloc_base)
             return result
 
-        def _pqos(a):
-            return measured_pqos(a, new_instance) if incremental_meas else a.pqos(new_instance)
-
-        def _util(a):
-            if incremental_meas:
-                return measured_utilization(a, new_instance)
-            return a.resource_utilization(new_instance)
-
         # The "before" point is the adopted assignment of the previous epoch
         # evaluated on the unchanged instance — carried forward, not recomputed.
         before_pqos, before_util = state.measures[name]
@@ -536,14 +534,18 @@ class ChurnSimulator:
             )
         else:
             base_assignment = old_assignment
-
-        def _carry():
-            return carry_over_assignment(
-                base_assignment,
-                churn,
-                new_instance,
-                out=state.contacts_buffer(new_instance.num_clients),
-            )
+        candidates = _Candidates(
+            self,
+            state,
+            name,
+            old_assignment,
+            base_assignment,
+            churn,
+            server_churn,
+            new_instance,
+            reassign_rng,
+            _timed,
+        )
 
         # The carried-over "after" point.  Incremental measurement delta-updates
         # the previous epoch's within-bound count from the churn batch instead
@@ -551,132 +553,59 @@ class ChurnSimulator:
         # the previous epoch left a stash and the fleet did not re-index
         # (capacity-only deltas keep every delay; a re-indexed fleet changes
         # delays wholesale, so that epoch falls back to the full path).  The
-        # carried assignment itself is then only built when the warm-start
-        # action needs it as the refiner's starting point.
+        # carried assignment itself is then only built when the adopted
+        # action needs it (warm start refines it, "none" keeps it).
         # A delay overlay (scenario link degradation) changes the *survivors'*
         # delays too, so the O(churn) carried count would be wrong — overlay
         # epochs always take the full carried path, keeping full/incremental
         # measurement bit-identical through incidents.
-        carried = None
-        stash = stash_for(old_assignment, instance) if incremental_meas else None
-        if stash is not None and overlay_active:
-            stash = None
+        stash = None
+        if candidates.incremental_meas and not overlay_active:
+            stash = stash_for(old_assignment, instance)
         if stash is not None and (server_churn is None or server_churn.is_identity):
             count = _timed(
                 "measure",
                 lambda: carried_qos_count(stash, base_assignment, batch, churn, new_instance),
             )
             k_new = new_instance.num_clients
-            after_pqos = count / k_new if k_new else 1.0
-            if action == "warm_start":
-                carried = _timed("measure", _carry)
-        else:
-            carried = _timed("measure", _carry)
-            after_pqos = _timed("measure", lambda: _pqos(carried))
+            candidates.pqos_of["none"] = count / k_new if k_new else 1.0
+        after_pqos = candidates.pqos("none")
 
-        reexec_pqos = reexec_util = incr_pqos = _NAN
-        charge = None  # the adopted assignment's bill, when already computed
-        if action == "reexecute":
-            adopted = _timed(
-                "solve",
-                lambda: reassign(
-                    new_instance, name, seed=reassign_rng, solver_backend=self.solver_backend
-                ),
-            )
-            reexec_pqos = _timed("measure", lambda: _pqos(adopted))
-            reexec_util = _timed("measure", lambda: _util(adopted))
-            adopted_pqos, adopted_util = reexec_pqos, reexec_util
-            if math.isfinite(schedule.migration_budget):
-                # Migration-aware schedule: a re-execution whose zone moves
-                # bill above the budget is demoted to the incremental repair,
-                # which keeps the zone map (only forced evacuations remain).
-                charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
-                if charge.cost > schedule.migration_budget:
-                    adopted = _timed(
-                        "solve",
-                        lambda: incremental_reassign(
-                            base_assignment, new_instance, solver_backend=self.solver_backend
-                        ),
-                    )
-                    charge = None  # the adopted assignment changed; re-bill below
-                    incr_pqos = _timed("measure", lambda: _pqos(adopted))
-                    adopted_pqos = incr_pqos
-                    adopted_util = _timed("measure", lambda: _util(adopted))
-            if schedule.period == 0 and math.isnan(incr_pqos):
-                # The pure re-execute policy also reports the incremental
-                # repair as Table 3's extension column; scheduled policies
-                # skip it to keep the epoch cost proportional to the action.
-                repaired = _timed(
-                    "solve",
-                    lambda: incremental_reassign(
-                        base_assignment, new_instance, solver_backend=self.solver_backend
-                    ),
-                )
-                incr_pqos = _timed("measure", lambda: _pqos(repaired))
-        elif action == "incremental":
-            adopted = _timed(
-                "solve",
-                lambda: incremental_reassign(
-                    base_assignment, new_instance, solver_backend=self.solver_backend
-                ),
-            )
-            incr_pqos = _timed("measure", lambda: _pqos(adopted))
-            adopted_pqos = incr_pqos
-            adopted_util = _timed("measure", lambda: _util(adopted))
-        elif action == "warm_start":
-            # Budget one move per client: heavy churn can push far more than
-            # the refiner's default 200 clients over the bound, and sweep
-            # moves are cheap — a tight cap would silently truncate the
-            # repair and skew the policy comparison.  The batched zone-move
-            # sweep joins in only on epochs whose *infrastructure* churned:
-            # that is when the hosting itself is wrong (evacuated zones,
-            # drifted capacities) and a contact repair cannot recover it,
-            # while on client-only epochs the zone scan's O(clients×servers)
-            # setup would break the repair's cost-proportional-to-churn
-            # property for little gain.
-            adopted = _timed(
-                "solve",
-                lambda: warm_start_refine(
-                    new_instance,
-                    carried,
-                    mode="sweep",
-                    consider_zone_moves=server_churn is not None,
-                    max_iterations=max(200, new_instance.num_clients),
-                    # The refiner maintains the exact per-client delay vector
-                    # anyway; stashing it by reference makes the later
-                    # ensure_measures a no-op instead of a full O(clients)
-                    # recompute.  Gated with the arena so ``arena=False``
-                    # stays the executable spec the stash path must match.
-                    stash_measures=incremental_meas and state.arena is not None,
-                ).assignment,
-            )
-            adopted_pqos = _timed("measure", lambda: _pqos(adopted))
-            adopted_util = _timed("measure", lambda: _util(adopted))
-        else:  # pragma: no cover - make_policy rejects unknown actions
-            raise ValueError(f"unknown policy action {action!r}")
+        action = policy.decide(epoch, after_pqos, candidates)
+        adopted = candidates.assignment(action)
+        if action == "none":
+            # The carried contacts live in the session's recycled scratch
+            # buffer; the adopted assignment must outlive the next carry.
+            adopted = replace(adopted, contact_of_client=adopted.contact_of_client.copy())
         # Re-label with the base algorithm name: repair suffixes like
         # " (carried over)+ws" would otherwise compound every epoch.
         adopted = adopted.with_algorithm(name)
-        if incremental_meas:
+        # A solved re-execution always reports its pQoS and utilisation; a
+        # solved incremental repair reports its pQoS (Table 3's columns).
+        reexecuted = "reexecute" in candidates.built
+        adopted_pqos = candidates.pqos(action)
+        adopted_util = candidates.utilization(action)
+        if candidates.incremental_meas:
             # Guarantee the adopted assignment carries a stash into the next
             # epoch (solvers that do not stash — warm start, baselines — pay
             # one full pass here so the next carried point stays O(churn)).
             _timed("measure", lambda: ensure_measures(adopted, new_instance))
 
-        if charge is None:
-            charge = self._charge_migration(old_assignment, adopted, server_churn, new_instance)
+        charge = candidates.charge(action)
         record = EpochRecord(
             epoch=epoch,
             algorithm=name,
             pqos_before=before_pqos,
             pqos_after=after_pqos,
-            pqos_reexecuted=reexec_pqos,
-            pqos_incremental=incr_pqos,
+            pqos_reexecuted=candidates.pqos("reexecute") if reexecuted else _NAN,
+            pqos_incremental=(
+                candidates.pqos("incremental") if "incremental" in candidates.built else _NAN
+            ),
             utilization_before=before_util,
-            utilization_reexecuted=reexec_util,
+            utilization_reexecuted=candidates.utilization("reexecute") if reexecuted else _NAN,
             num_clients_before=instance.num_clients,
             num_clients_after=new_instance.num_clients,
-            policy=schedule.name,
+            policy=policy.name,
             pqos_adopted=adopted_pqos,
             utilization_adopted=adopted_util,
             num_servers_after=new_instance.num_servers,
@@ -684,7 +613,7 @@ class ChurnSimulator:
             clients_migrated=charge.clients_migrated,
             migration_cost=charge.cost,
         )
-        return record, adopted
+        return record, adopted, action, charge
 
     def _charge_migration(
         self,
@@ -727,31 +656,155 @@ class ChurnSimulator:
         return True
 
 
+class _Candidates:
+    """The assignments one algorithm may adopt this epoch, built on demand.
+
+    Keyed by action: ``"none"`` is the carried-over assignment,
+    ``"incremental"`` the contact-phase repair, ``"reexecute"`` the
+    from-scratch solve and ``"warm_start"`` the local search from the carried
+    assignment.  Each is built, measured and billed at most once, so a
+    policy can probe several (the controller's repair→rebalance escalation)
+    without paying twice, and the record reports what was actually computed.
+    """
+
+    def __init__(
+        self,
+        sim: ChurnSimulator,
+        state: SimulationState,
+        name: str,
+        old_assignment: Assignment,
+        base_assignment: Assignment,
+        churn: ChurnResult,
+        server_churn: Optional[ServerChurnResult],
+        instance: CAPInstance,
+        reassign_rng: SeedLike,
+        timed,
+    ):
+        self.sim = sim
+        self.state = state
+        self.name = name
+        self.old_assignment = old_assignment
+        self.base_assignment = base_assignment
+        self.churn = churn
+        self.server_churn = server_churn
+        self.instance = instance
+        self.reassign_rng = reassign_rng
+        self.timed = timed
+        self.incremental_meas = sim.measurement_backend == "incremental"
+        self.built: Dict[str, Assignment] = {}
+        self.pqos_of: Dict[str, float] = {}
+        self.utilization_of: Dict[str, float] = {}
+        self.charges: Dict[str, MigrationCharge] = {}
+
+    def assignment(self, action: str) -> Assignment:
+        """The candidate assignment for ``action``."""
+        if action not in self.built:
+            if action == "warm_start":
+                self.assignment("none")  # the refiner's starting point
+            key = "measure" if action == "none" else "solve"
+            self.built[action] = self.timed(key, lambda: self._build(action))
+        return self.built[action]
+
+    def _build(self, action: str) -> Assignment:
+        sim, instance = self.sim, self.instance
+        if action == "none":
+            return carry_over_assignment(
+                self.base_assignment,
+                self.churn,
+                instance,
+                out=self.state.contacts_buffer(instance.num_clients),
+            )
+        if action == "reexecute":
+            return reassign(
+                instance, self.name, seed=self.reassign_rng, solver_backend=sim.solver_backend
+            )
+        if action == "incremental":
+            return incremental_reassign(
+                self.base_assignment, instance, solver_backend=sim.solver_backend
+            )
+        if action != "warm_start":
+            raise ValueError(f"unknown policy action {action!r}")
+        # Budget one move per client: heavy churn can push far more than the
+        # refiner's default 200 clients over the bound, and sweep moves are
+        # cheap — a tight cap would silently truncate the repair and skew the
+        # policy comparison.  The batched zone-move sweep joins in only on
+        # epochs whose *infrastructure* churned: that is when the hosting
+        # itself is wrong (evacuated zones, drifted capacities) and a contact
+        # repair cannot recover it, while on client-only epochs the zone
+        # scan's O(clients×servers) setup would break the repair's
+        # cost-proportional-to-churn property for little gain.
+        return warm_start_refine(
+            instance,
+            self.built["none"],
+            mode="sweep",
+            consider_zone_moves=self.server_churn is not None,
+            max_iterations=max(200, instance.num_clients),
+            # The refiner maintains the exact per-client delay vector anyway;
+            # stashing it by reference makes the later ensure_measures a no-op
+            # instead of a full O(clients) recompute.  Gated with the arena so
+            # ``arena=False`` stays the executable spec the stash path must
+            # match.
+            stash_measures=self.incremental_meas and self.state.arena is not None,
+        ).assignment
+
+    def pqos(self, action: str) -> float:
+        """pQoS of the candidate on this epoch's instance."""
+        return self._measure(self.pqos_of, action, measured_pqos, Assignment.pqos)
+
+    def utilization(self, action: str) -> float:
+        """Resource utilisation of the candidate on this epoch's instance."""
+        return self._measure(
+            self.utilization_of, action, measured_utilization, Assignment.resource_utilization
+        )
+
+    def _measure(self, cache: Dict[str, float], action: str, stash_read, full) -> float:
+        if action not in cache:
+            a = self.assignment(action)
+            read = stash_read if self.incremental_meas else full
+            cache[action] = self.timed("measure", lambda: read(a, self.instance))
+        return cache[action]
+
+    def charge(self, action: str) -> MigrationCharge:
+        """Migration bill of adopting the candidate, against the pre-churn map."""
+        if action not in self.charges:
+            self.charges[action] = self.sim._charge_migration(
+                self.old_assignment, self.assignment(action), self.server_churn, self.instance
+            )
+        return self.charges[action]
+
+
 class EpochSession:
     """Step-wise execution of a :class:`ChurnSimulator`, one epoch per call.
 
     Holds exactly the per-run state the old monolithic ``stream`` loop held —
-    the mutable :class:`SimulationState`, the resolved policy schedule and the
+    the mutable :class:`SimulationState`, the resolved policy and the
     per-epoch RNG streams — but exposes the epoch as a unit of work, so a
     higher-level driver can do things *between* epochs.  The federation
     engine uses this to apply cross-shard capacity arbitration: a capacity
     re-slice enters the next epoch as an identity-mapped
     :class:`~repro.dynamics.infrastructure.ServerChurnResult`, flowing through
     the exact world-advance / remap / repair / billing path that generated
-    infrastructure churn takes.
+    infrastructure churn takes.  The rebalance controller drives it under a
+    :class:`~repro.dynamics.policies.RebalancePolicy`.
 
     The RNG layout is identical to the pre-session engine for any seed and
     epoch count (the constructor replays the exact draw order of the old
     loop), so ``ChurnSimulator.stream`` records are bit-for-bit unchanged —
     and an externally supplied capacity delta consumes no randomness, so
-    supplying one never perturbs the churn streams.
+    supplying one never perturbs the churn streams.  For one algorithm it is
+    also the rebalance controller's historical layout: ``SeedSequence``
+    children are numbered in spawn order, so the one solve stream followed by
+    ``num_epochs`` epoch streams equals the controller's single spawn of
+    ``num_epochs + 1``, and each epoch splits into churn, optional server
+    churn and one re-execution stream in both.
     """
 
     def __init__(self, simulator: ChurnSimulator, num_epochs: int):
         if num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
         self.simulator = simulator
-        self.schedule = make_policy(
+        #: The per-epoch decision: a schedule or the controller's policy.
+        self.policy = make_policy(
             simulator.policy,
             period=simulator.policy_period or None,
             migration_budget=simulator.policy_migration_budget,
@@ -791,6 +844,12 @@ class EpochSession:
         self.alloc_profile: bool = False
         self.phase_alloc_bytes: Dict[str, int] = dict.fromkeys(self.phase_seconds, 0)
         self.last_phase_alloc_bytes: Dict[str, int] = dict.fromkeys(self.phase_seconds, 0)
+        #: The action each algorithm adopted in the most recent epoch
+        #: (``"none"``, ``"incremental"``, ``"reexecute"`` or ``"warm_start"``).
+        self.last_actions: Dict[str, str] = {}
+        #: The migration charge of each algorithm's adopted action in the
+        #: most recent epoch.
+        self.last_charges: Dict[str, MigrationCharge] = {}
         #: Precomputed zone-sampling state for churn generation — the world's
         #: topology / zone count / distribution spec never change within a
         #: session, so the per-epoch region bookkeeping is paid once.  Only
@@ -917,14 +976,13 @@ class EpochSession:
         timings["advance"] = time.perf_counter() - phase_start
         if allocs is not None:
             allocs["advance"] = max(0, tracemalloc.get_traced_memory()[1] - alloc_base)
-        action = self.schedule.action_for_epoch(epoch)
 
         records: List[EpochRecord] = []
         next_assignments: Dict[str, Assignment] = {}
         next_measures: Dict[str, tuple] = {}
         for i, name in enumerate(sim.algorithms):
             old_assignment = state.assignments[name]
-            record, adopted = sim._process_algorithm(
+            record, adopted, action, charge = sim._process_algorithm(
                 state,
                 epoch,
                 name,
@@ -933,8 +991,7 @@ class EpochSession:
                 churn,
                 server_churn,
                 eff_instance,
-                self.schedule,
-                action,
+                self.policy,
                 reassign_rngs[i],
                 timings=timings,
                 overlay_active=eff_instance is not new_instance,
@@ -946,6 +1003,8 @@ class EpochSession:
                     clients_degraded=scenario_stats.clients_degraded,
                     capacity_deficit=scenario_stats.capacity_deficit,
                 )
+            self.last_actions[name] = action
+            self.last_charges[name] = charge
             next_assignments[name] = adopted
             next_measures[name] = (record.pqos_adopted, record.utilization_adopted)
             records.append(record)

@@ -15,11 +15,22 @@ additional, cheaper policy (not in the paper) that keeps the zone→server map
 and only re-runs the refined phase, exercising the claim that the initial
 phase is the expensive, high-impact one.
 
-For longitudinal runs (many churn epochs), :class:`PolicySchedule` decides
-*which* of the repair actions the simulation engine applies at each epoch:
-always re-execute (the paper's recommendation), always repair incrementally,
-always warm-start the local search from the carried-over assignment, or
-re-execute every ``k`` epochs with cheap repairs in between.
+For longitudinal runs (many churn epochs), a policy decides *which*
+assignment the simulation engine adopts at each epoch.  The engine measures
+the carried-over point first, then calls the policy's ``decide(epoch,
+pqos_stale, candidates)``; ``candidates`` builds, measures and bills each
+option on demand (``pqos(action)``, ``charge(action)``) and the method returns
+the action to adopt: ``"none"`` (keep the carried-over assignment),
+``"incremental"``, ``"reexecute"`` or ``"warm_start"``.
+
+* :class:`PolicySchedule` returns a scheduled action: always re-execute (the
+  paper's recommendation), always repair incrementally, always warm-start the
+  local search from the carried-over assignment, or re-execute every ``k``
+  epochs with cheap repairs in between.
+* :class:`RebalancePolicy` reacts to the carried-over pQoS: nothing while it
+  meets a target, the cheap repair when it is close, a full re-execution
+  otherwise (the :class:`~repro.dynamics.controller.RebalanceController`'s
+  decision).
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import re
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -42,6 +53,7 @@ from repro.dynamics.infrastructure import ServerChurnResult
 from repro.utils.rng import SeedLike
 
 __all__ = [
+    "RebalancePolicy",
     "carry_over_assignment",
     "remap_assignment_servers",
     "reassign",
@@ -281,13 +293,103 @@ class PolicySchedule:
             return "reexecute"
         return self.action
 
+    def decide(self, epoch: int, pqos_stale: float, candidates) -> str:
+        """The scheduled action, with over-budget re-executions demoted.
+
+        A re-execution whose zone moves bill above the budget is demoted to
+        the incremental repair, which keeps the zone map (only forced
+        evacuations remain).  The pure re-execute policy also measures the
+        incremental repair as Table 3's extension column; scheduled policies
+        skip it to keep the epoch cost proportional to the action.
+        """
+        action = self.action_for_epoch(epoch)
+        if action != "reexecute":
+            return action
+        if (
+            math.isfinite(self.migration_budget)
+            and candidates.charge("reexecute").cost > self.migration_budget
+        ):
+            action = "incremental"
+        if self.period == 0:
+            candidates.pqos("incremental")
+        return action
+
+
+@dataclass(frozen=True)
+class RebalancePolicy:
+    """Thresholds of the rebalance controller's per-epoch decision.
+
+    After each epoch's churn the carried-over ("stale") pQoS is compared with
+    the target: at or above it nothing is done; within ``repair_slack`` below
+    it the cheap incremental repair is tried first and kept if it lands
+    within ``accept_repair_if_within`` of the target; otherwise the
+    algorithm is re-executed from scratch.
+
+    Attributes
+    ----------
+    target_pqos:
+        The interactivity level the operator wants to maintain.
+    repair_slack:
+        If the stale pQoS is below ``target_pqos`` but within ``repair_slack``
+        of it, the cheap incremental repair is tried first.
+    full_rebalance_every:
+        Optional periodic full re-execution every N epochs regardless of pQoS
+        (0 disables the periodic trigger).
+    accept_repair_if_within:
+        The repair is kept only if it brings pQoS within this distance of the
+        target; otherwise the controller escalates to a full re-execution.
+    max_migration_cost_per_epoch:
+        Migration budget (in the cost model's units).  A full re-execution
+        whose zone moves would bill above this budget is demoted to the
+        incremental repair if that beats the stale assignment, else to doing
+        nothing — the explicit interactivity-vs-disruption trade-off.
+        Infinite by default (migration-oblivious); only meaningful together
+        with a non-free :class:`~repro.dynamics.migration.MigrationCostModel`.
+    """
+
+    target_pqos: float = 0.9
+    repair_slack: float = 0.05
+    full_rebalance_every: int = 0
+    accept_repair_if_within: float = 0.02
+    max_migration_cost_per_epoch: float = math.inf
+
+    #: Record label of controlled epochs (``EpochRecord.policy``).
+    name: ClassVar[str] = "controller"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target_pqos <= 1.0:
+            raise ValueError("target_pqos must lie in (0, 1]")
+        if self.repair_slack < 0 or self.accept_repair_if_within < 0:
+            raise ValueError("slack values must be non-negative")
+        if self.full_rebalance_every < 0:
+            raise ValueError("full_rebalance_every must be >= 0")
+        if self.max_migration_cost_per_epoch < 0:
+            raise ValueError("max_migration_cost_per_epoch must be >= 0")
+
+    def decide(self, epoch: int, pqos_stale: float, candidates) -> str:
+        """``"none"``, ``"incremental"`` or ``"reexecute"`` for this epoch."""
+        periodic_due = (
+            self.full_rebalance_every > 0 and (epoch + 1) % self.full_rebalance_every == 0
+        )
+        if pqos_stale >= self.target_pqos and not periodic_due:
+            return "none"
+        if not periodic_due and pqos_stale >= self.target_pqos - self.repair_slack:
+            if candidates.pqos("incremental") >= self.target_pqos - self.accept_repair_if_within:
+                return "incremental"
+        if (
+            math.isfinite(self.max_migration_cost_per_epoch)
+            and candidates.charge("reexecute").cost > self.max_migration_cost_per_epoch
+        ):
+            return "incremental" if candidates.pqos("incremental") >= pqos_stale else "none"
+        return "reexecute"
+
 
 def make_policy(
-    policy: Union[str, PolicySchedule],
+    policy: Union[str, PolicySchedule, RebalancePolicy],
     period: Optional[int] = None,
     migration_budget: Optional[float] = None,
-) -> PolicySchedule:
-    """Normalise a policy name (or an existing schedule) into a schedule.
+) -> Union[PolicySchedule, RebalancePolicy]:
+    """Normalise a policy name (or an existing policy) into a policy.
 
     Accepted names: ``"reexecute"``, ``"incremental"``, ``"warm_start"``,
     ``"every_k_epochs"`` (period taken from the ``period`` argument) and the
@@ -295,9 +397,9 @@ def make_policy(
     ``every_k_epochs`` re-executes on each k-th epoch and repairs
     incrementally in between.  ``migration_budget`` (cost units per epoch)
     caps the migration bill of any re-execution the schedule triggers; see
-    :class:`PolicySchedule`.
+    :class:`PolicySchedule`.  Policy objects pass through unchanged.
     """
-    if isinstance(policy, PolicySchedule):
+    if isinstance(policy, (PolicySchedule, RebalancePolicy)):
         return policy
     budget = math.inf if migration_budget is None else float(migration_budget)
     name = str(policy).strip().lower()

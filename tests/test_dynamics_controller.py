@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.problem import CAPInstance
@@ -10,6 +14,7 @@ from repro.dynamics.churn import ChurnSpec, generate_churn
 from repro.dynamics.controller import (
     RebalanceController,
     RebalancePolicy,
+    RebalanceStep,
     RebalanceTrace,
 )
 from repro.dynamics.engine import EpochRecord
@@ -18,8 +23,60 @@ from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import carry_over_assignment, incremental_reassign
 from repro.utils.rng import as_generator, spawn_generators
+from repro.world.scenario import build_scenario
+
+from tests.conftest import make_small_config
 
 CHURN = ChurnSpec(num_joins=30, num_leaves=30, num_moves=30)
+
+#: Pinned controller traces: every RebalanceStep field and every
+#: EpochRecord.SCENARIO_FIELDS column of 8 epochs per config and world-advance
+#: backend, captured from the controller's former standalone epoch loop.  They
+#: cover what the legacy-loop oracle below cannot: an incident timeline,
+#: infrastructure churn and a finite migration budget.  Regenerate (only for a
+#: deliberate, documented re-baseline) with
+#: ``PYTHONPATH=src python -m tests.test_dynamics_controller``.
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "controller_golden_traces.json"
+GOLDEN_EPOCHS = 8
+GOLDEN_CONFIGS = {
+    "timeline-periodic": dict(
+        seed=3,
+        policy=RebalancePolicy(target_pqos=0.9, full_rebalance_every=3),
+        scenario_timeline=("diurnal", "maintenance"),
+    ),
+    "server-churn": dict(
+        seed=3,
+        policy=RebalancePolicy(),
+        server_churn_spec=ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.1),
+        migration_cost=MigrationCostModel(cost_per_client=1.0),
+    ),
+    "migration-budget": dict(
+        seed=5,
+        policy=RebalancePolicy(
+            target_pqos=0.97, repair_slack=0.0, max_migration_cost_per_epoch=60.0
+        ),
+        migration_cost=MigrationCostModel(
+            cost_per_client=1.0, freeze_ms_per_zone=2.5, freeze_ms_per_client=0.1
+        ),
+    ),
+}
+STEP_FIELDS = tuple(f.name for f in dataclasses.fields(RebalanceStep))
+
+
+def _exact(value):
+    """JSON-safe exact form: floats as hex strings (NaN and inf included)."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def golden_trace(scenario, name: str, backend: str) -> dict:
+    """One golden config's controller trace in its exact, JSON-safe form."""
+    trace = RebalanceController(
+        scenario=scenario, churn_spec=CHURN, backend=backend, **GOLDEN_CONFIGS[name]
+    ).run(GOLDEN_EPOCHS)
+    return {
+        "steps": [[_exact(getattr(s, f)) for f in STEP_FIELDS] for s in trace.steps],
+        "records": [[_exact(v) for v in r.scenario_row()] for r in trace.records],
+    }
 
 
 def legacy_controller_run(scenario, algorithm, policy, churn_spec, seed, num_epochs):
@@ -213,14 +270,13 @@ class TestLegacyTraceReproduction:
         ]
         assert ported == legacy
 
-    def test_run_legacy_shim_warns_and_matches(self, small_scenario):
-        controller = RebalanceController(
-            scenario=small_scenario, policy=RebalancePolicy(target_pqos=0.95),
-            churn_spec=CHURN, seed=5,
-        )
-        with pytest.warns(DeprecationWarning, match="run_legacy"):
-            legacy = controller.run_legacy(num_epochs=2)
-        assert legacy.pqos_series() == controller.run(num_epochs=2).pqos_series()
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    @pytest.mark.parametrize("backend", ["delta", "rebuild"])
+    def test_matches_pinned_traces(self, small_scenario, name, backend):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert golden["step_fields"] == list(STEP_FIELDS)
+        assert golden["record_fields"] == list(EpochRecord.SCENARIO_FIELDS)
+        assert golden_trace(small_scenario, name, backend) == golden["traces"][f"{name}/{backend}"]
 
 
 class TestControllerOnEngine:
@@ -307,3 +363,18 @@ class TestControllerOnEngine:
     def test_invalid_backend_rejected(self, small_scenario):
         with pytest.raises(ValueError, match="backend"):
             RebalanceController(scenario=small_scenario, backend="magic")
+
+
+if __name__ == "__main__":
+    scenario = build_scenario(make_small_config(), seed=7)
+    payload = {
+        "step_fields": list(STEP_FIELDS),
+        "record_fields": list(EpochRecord.SCENARIO_FIELDS),
+        "traces": {
+            f"{name}/{backend}": golden_trace(scenario, name, backend)
+            for name in GOLDEN_CONFIGS
+            for backend in ("delta", "rebuild")
+        },
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")

@@ -30,11 +30,13 @@ from repro.core.registry import solve as registry_solve
 from repro.core.regret import BACKENDS as SOLVER_BACKENDS
 from repro.core.regret import max_regret_assign
 from repro.dynamics.churn import ChurnSpec, generate_churn
+from repro.dynamics.controller import RebalancePolicy
 from repro.dynamics.engine import ChurnSimulator
 from repro.dynamics.events import ChurnBatch, apply_churn
 from repro.dynamics.federation_engine import FederatedSimulator
 from repro.dynamics.infrastructure import ServerChurnSpec
 from repro.dynamics.measurement import MEASUREMENT_BACKENDS, carried_qos_count
+from repro.dynamics.migration import MigrationCostModel
 from repro.dynamics.policies import carry_over_assignment
 from repro.metrics.qos import _selection_stats
 from repro.world.federation import build_federation
@@ -43,6 +45,13 @@ from repro.world.scenario import build_scenario
 from tests.conftest import make_small_config
 
 DELAY_BACKENDS = ("dense", "coords", "sparse")
+
+#: Controller policies: the default thresholds, and an eager one whose
+#: migration budget demotes the costlier re-executions (priced below).
+CONTROLLER_POLICIES = [
+    RebalancePolicy(),
+    RebalancePolicy(target_pqos=1.0, repair_slack=0.0, max_migration_cost_per_epoch=40.0),
+]
 
 
 @pytest.fixture(scope="module", params=DELAY_BACKENDS)
@@ -187,6 +196,7 @@ def _records(scenario, *, policy, measurement_backend, period=0, server_churn=No
         algorithms=list(algorithms),
         churn_spec=churn,
         server_churn_spec=server_churn,
+        migration_cost=MigrationCostModel(cost_per_client=1.0),
         seed=123,
         policy=policy,
         policy_period=period,
@@ -206,12 +216,18 @@ def _assert_streams_equal(scenario, **kwargs):
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "policy,period",
-        [("reexecute", 0), ("incremental", 0), ("warm_start", 0), ("every_k_epochs", 2)],
+        [
+            ("reexecute", 0),
+            ("incremental", 0),
+            ("warm_start", 0),
+            ("every_k_epochs", 2),
+            *[(policy, 0) for policy in CONTROLLER_POLICIES],
+        ],
     )
     def test_policies_all_delay_backends(self, backend_scenario, policy, period):
         _assert_streams_equal(backend_scenario, policy=policy, period=period)
 
-    @pytest.mark.parametrize("policy", ["reexecute", "incremental"])
+    @pytest.mark.parametrize("policy", ["reexecute", "incremental", *CONTROLLER_POLICIES])
     def test_server_churn(self, backend_scenario, policy):
         """Fleet re-indexing disables the carried delta; records still agree."""
         spec = ServerChurnSpec(num_joins=1, num_leaves=1, capacity_drift=0.05)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.dynamics.churn import ChurnSpec, generate_churn
 from repro.dynamics.engine import ChurnSimulator, EpochRecord
 from repro.dynamics.events import ChurnBatch, apply_churn
-from repro.dynamics.policies import carry_over_assignment
+from repro.dynamics.migration import MigrationCostModel
+from repro.dynamics.policies import RebalancePolicy, carry_over_assignment
 from repro.experiments.loadgen import format_loadgen, run_loadgen
 from repro.utils.arena import EpochArena
 from repro.world.distributions import ZoneSamplingPlan, sample_client_zones
@@ -35,13 +36,14 @@ def _scenario(seed=5, correlation=0.0):
     return build_scenario(DVEConfig(correlation=correlation, **LABEL_CONFIG), seed=seed)
 
 
-def _records(arena, backend, measurement, churn, epochs=5, seed=9):
+def _records(arena, backend, measurement, churn, epochs=5, seed=9, policy="warm_start"):
     simulator = ChurnSimulator(
         scenario=_scenario(),
         algorithms=["grez-grec"],
         churn_spec=churn,
+        migration_cost=MigrationCostModel(cost_per_client=1.0),
         seed=seed,
-        policy="warm_start",
+        policy=policy,
         backend=backend,
         measurement_backend=measurement,
         arena=arena,
@@ -66,14 +68,23 @@ def _assert_identical(records_a, records_b):
 
 class TestArenaRecordIdentity:
     @pytest.mark.parametrize(
+        "policy",
+        [
+            "warm_start",
+            RebalancePolicy(),
+            RebalancePolicy(target_pqos=1.0, repair_slack=0.0, max_migration_cost_per_epoch=4.0),
+        ],
+        ids=["warm_start", "controller", "controller-budget"],
+    )
+    @pytest.mark.parametrize(
         "backend,measurement",
         list(itertools.product(["delta", "rebuild"], ["full", "incremental"])),
     )
-    def test_backend_measurement_cross_product(self, backend, measurement):
+    def test_backend_measurement_cross_product(self, backend, measurement, policy):
         churn = ChurnSpec(num_joins=7, num_leaves=5, num_moves=6)
         _assert_identical(
-            _records(True, backend, measurement, churn),
-            _records(False, backend, measurement, churn),
+            _records(True, backend, measurement, churn, policy=policy),
+            _records(False, backend, measurement, churn, policy=policy),
         )
 
     @pytest.mark.parametrize(
